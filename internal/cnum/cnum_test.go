@@ -3,7 +3,7 @@ package cnum
 import (
 	"math"
 	"math/cmplx"
-	"sync"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -82,30 +82,51 @@ func TestSeededConstantsExact(t *testing.T) {
 	}
 }
 
-func TestConcurrentLookupStable(t *testing.T) {
-	tbl := NewTable(1e-10)
-	const workers = 8
-	const perWorker = 500
-	results := make([][]complex128, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			out := make([]complex128, perWorker)
-			for i := 0; i < perWorker; i++ {
-				// Every worker hits the same value sequence.
-				v := complex(math.Sin(float64(i)), math.Cos(float64(i)))
-				out[i] = tbl.Lookup(v)
-			}
-			results[w] = out
-		}(w)
+// TestLookupOrderIndependent feeds three fresh tables the same values in
+// forward, reversed and shuffled order: every value must snap to the same
+// bits whatever was interned before it. Each base value comes with two
+// ulp-scale neighbors in its bucket, where a first-comer table would hand
+// out whichever arrived first, and every other base sits within an ulp of
+// a bucket boundary.
+func TestLookupOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tol := 1e-10
+	step := NewTable(tol).step
+	var vals []complex128
+	for i := 0; i < 300; i++ {
+		re := math.Sin(float64(i))
+		if i%2 == 1 {
+			// Nudge onto the midpoint between two grid buckets.
+			re = (math.Round(re/step) + 0.5) * step
+			re = math.Nextafter(re, float64(i%4-2))
+		}
+		im := rng.NormFloat64()
+		for _, f := range []float64{1, 1 + 1e-14, 1 - 1e-14} {
+			vals = append(vals, complex(re*f, im*f))
+		}
 	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		for i := range results[0] {
-			if results[w][i] != results[0][i] {
-				t.Fatalf("worker %d disagrees at %d: %v vs %v", w, i, results[w][i], results[0][i])
+	n := len(vals)
+	orders := map[string][]int{"forward": make([]int, n), "reversed": make([]int, n)}
+	for i := range n {
+		orders["forward"][i] = i
+		orders["reversed"][i] = n - 1 - i
+	}
+	orders["shuffled"] = rng.Perm(n)
+
+	snaps := map[string][]complex128{}
+	for name, order := range orders {
+		tbl := NewTable(tol)
+		out := make([]complex128, n)
+		for _, i := range order {
+			out[i] = tbl.Lookup(vals[i])
+		}
+		snaps[name] = out
+	}
+	for _, name := range []string{"reversed", "shuffled"} {
+		for i := range vals {
+			if KeyOf(snaps[name][i]) != KeyOf(snaps["forward"][i]) {
+				t.Fatalf("%s order snaps value %d to %v, forward order to %v",
+					name, i, snaps[name][i], snaps["forward"][i])
 			}
 		}
 	}

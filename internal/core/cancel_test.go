@@ -156,23 +156,35 @@ func TestContextDeadlineMapsToSentinel(t *testing.T) {
 	}
 }
 
+// TestDeprecatedOptionsDeadline keeps the two cases that once exercised the
+// removed Options.Deadline field; deadlines now travel only on the context
+// passed to RunContext.
 func TestDeprecatedOptionsDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	n := 8
 	c := randomCircuit(rng, n, 40)
-	s := New(n, Options{Deadline: time.Now().Add(-time.Second)})
-	st, err := s.RunContext(context.Background(), c)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	s := New(n, Options{})
+	st, err := s.RunContext(ctx, c)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
 	if !st.TimedOut {
-		t.Fatal("deprecated Options.Deadline no longer sets TimedOut")
+		t.Fatal("an expired context deadline does not set TimedOut")
 	}
 
-	// The error-free Run wrapper still surfaces the abort through Stats.
-	s2 := New(n, Options{Deadline: time.Now().Add(-time.Second)})
-	if st2 := s2.Run(c); !st2.TimedOut {
-		t.Fatal("Run with an expired Options.Deadline must report TimedOut")
+	// The abort is also surfaced through the Stats accessor, which is
+	// where callers that drop RunContext's error read it.
+	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	s2 := New(n, Options{})
+	s2.RunContext(ctx2, c)
+	if !s2.Stats().TimedOut {
+		t.Fatal("Stats() after an expired context deadline must report TimedOut")
+	}
+	if p := norm(s2); math.Abs(p-1) > eps {
+		t.Fatalf("state not queryable after deadline abort: norm %v", p)
 	}
 }
 

@@ -41,9 +41,8 @@ var (
 	// simulator stays queryable: its state is the one left by the last
 	// fully applied gate (a partially applied gate is discarded).
 	ErrCanceled = fmt.Errorf("core: simulation canceled: %w", context.Canceled)
-	// ErrDeadlineExceeded reports that the run's deadline passed (either
-	// the context's deadline or the deprecated Options.Deadline). It plays
-	// the role of the paper's 24-hour cutoff.
+	// ErrDeadlineExceeded reports that the run context's deadline passed.
+	// It plays the role of the paper's 24-hour cutoff.
 	ErrDeadlineExceeded = fmt.Errorf("core: simulation deadline exceeded: %w", context.DeadlineExceeded)
 	// ErrEngineFault is the sentinel every *EngineFault unwraps to:
 	// errors.Is(err, ErrEngineFault) identifies a run terminated by a
@@ -189,15 +188,6 @@ type Options struct {
 	// ownership of the pool's lifetime. When nil, the run creates a
 	// pool of Threads workers for its duration.
 	Pool *sched.Pool
-	// DDThreads enables task-parallel gate application in the DD phase:
-	// when > 1, each gate's DD multiplication is decomposed into
-	// independent sub-DD recursions on a scheduler pool (results are
-	// bit-identical to the sequential path, see dd.MulMVParallel). When
-	// Pool is set it is shared with the DD phase and its worker count is
-	// authoritative; otherwise the run creates a DD-phase pool of
-	// DDThreads workers. 0 or 1 keeps the DD phase sequential (the
-	// default, and the paper's DDSIM-phase behaviour).
-	DDThreads int
 	// Beta and Epsilon parameterize the EWMA conversion controller
 	// (defaults 0.9 and 2).
 	Beta, Epsilon float64
@@ -239,14 +229,6 @@ type Options struct {
 	// simulator's phase loop) into the registry. When nil, the hot paths
 	// pay one pointer check per instrumentation site and nothing else.
 	Metrics *obs.Registry
-	// Deadline, when non-zero, aborts the run once exceeded.
-	//
-	// Deprecated: pass a deadline on RunContext's context instead
-	// (context.WithDeadline / context.WithTimeout). The field is kept for
-	// compatibility and mapped onto the run context internally; a run
-	// whose deadline passes returns ErrDeadlineExceeded and sets
-	// Stats.TimedOut.
-	Deadline time.Time
 	// GCThreshold overrides the DD manager's node-count GC trigger.
 	GCThreshold int
 	// ApproxBudget, when positive, enables DD state approximation [97]
@@ -541,9 +523,9 @@ func (s *Simulator) Phase() Phase { return s.phase }
 func (s *Simulator) Stats() Stats { return s.stats }
 
 // Run simulates the circuit from |0...0> and returns the final statistics.
-// Run may be called once per Simulator. It is a thin compatibility wrapper
-// around RunContext: a run aborted by the deprecated Options.Deadline is
-// reported through Stats.TimedOut, exactly as before.
+// Run may be called once per Simulator. It is RunContext with a background
+// context, which never cancels; use RunContext for deadlines and
+// cancellation.
 func (s *Simulator) Run(c *circuit.Circuit) Stats {
 	st, _ := s.RunContext(context.Background(), c)
 	return st
@@ -591,12 +573,6 @@ func (s *Simulator) RunContext(ctx context.Context, c *circuit.Circuit) (st Stat
 // runContext is RunContext's body; the split keeps the containment
 // barrier (and the deferred recover's cost) out of the phase loops.
 func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start time.Time) (Stats, error) {
-	if !s.opts.Deadline.IsZero() {
-		// Deprecated Options.Deadline maps onto the run context.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, s.opts.Deadline)
-		defer cancel()
-	}
 	done := ctx.Done()
 	check := func() bool {
 		select {
@@ -628,23 +604,6 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 	// Phase 1: DD-based simulation with conversion monitoring.
 	ddSpan := span.Child("phase.dd")
 	s.led.Begin("dd")
-	if s.opts.DDThreads > 1 {
-		ddPool := s.opts.Pool
-		if ddPool == nil {
-			ddPool = sched.New(s.opts.DDThreads)
-			ddPool.SetMetrics(s.opts.Metrics)
-			ddPool.SetFaults(s.opts.Faults)
-			defer ddPool.Close()
-		}
-		if ddPool.Threads() > 1 {
-			if ddSpan != nil {
-				ddSpan.SetAttr("dd_threads", ddPool.Threads())
-			}
-			s.sim.SetParallelism(func(tasks []func()) {
-				ddPool.RunSpanned(ddSpan, "dd.frontier", tasks)
-			}, ddPool.Threads())
-		}
-	}
 	endDD := func(gates int) {
 		// The DD loop is sequential on this goroutine, so its CPU time is
 		// its wall time (already computed into Stats.DDTime by callers).
@@ -993,9 +952,8 @@ func (s *Simulator) integritySweep(gate int) error {
 }
 
 // abort finalizes the statistics of a context-terminated run and maps the
-// context's cause onto the package sentinels. Stats.TimedOut is kept in
-// sync for deadline aborts (compatibility with the deprecated
-// Options.Deadline flow).
+// context's cause onto the package sentinels. Deadline aborts also set
+// Stats.TimedOut.
 func (s *Simulator) abort(ctx context.Context, start time.Time) (Stats, error) {
 	err := ErrCanceled
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {

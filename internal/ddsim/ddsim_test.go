@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"flatdd/internal/circuit"
+	"flatdd/internal/obs"
 	"flatdd/internal/statevec"
+	"flatdd/internal/workloads"
 )
 
 const eps = 1e-9
@@ -163,6 +165,40 @@ func TestGCDoesNotCorruptState(t *testing.T) {
 	for i := range got {
 		if !approx(got[i], sv.Amplitudes()[i]) {
 			t.Fatalf("GC corrupted amplitude %d", i)
+		}
+	}
+}
+
+// TestBitIdenticalAcrossManagersAndGC pins run-to-run determinism on a
+// deep-entangling circuit: a second fresh manager (new compute-table hash
+// seeds, so different slot collisions and recomputes) and a manager that
+// collects every few gates (compute tables wiped, nodes swept and rebuilt)
+// must both reproduce the reference amplitudes bit for bit. Weight
+// snapping is a pure function of the value and every cached result is a
+// pure function of its key, so neither may shift a single bit.
+func TestBitIdenticalAcrossManagersAndGC(t *testing.T) {
+	c := workloads.SupremacyGrid(7, 12, 20240812)
+	ref := New(c.Qubits)
+	ref.Run(c)
+	want := ref.ToArray()
+
+	fresh := New(c.Qubits)
+	fresh.Run(c)
+
+	reg := obs.New()
+	gced := New(c.Qubits)
+	gced.Manager().SetMetrics(reg)
+	gced.Manager().SetGCThreshold(16)
+	gced.Run(c)
+	if reg.Snapshot().Counters["dd.gc.runs"] == 0 {
+		t.Fatal("GC threshold of 16 nodes triggered no collections")
+	}
+
+	for name, got := range map[string][]complex128{"fresh manager": fresh.ToArray(), "GC-stressed": gced.ToArray()} {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s amplitude %d: %v != reference %v", name, i, got[i], want[i])
+			}
 		}
 	}
 }
