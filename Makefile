@@ -21,13 +21,16 @@ test:
 # differential and stress suites at their quick defaults), the DD package
 # and its callers in full under the race detector (dd.Manager and
 # cnum.Table are single-goroutine objects, so a race report there means
-# some code path shares one across goroutines), and a smoke run of the
+# some code path shares one across goroutines), DMAV and the scheduler in
+# full under the race detector (DMAV tasks write disjoint slices of one
+# output vector, which must stay disjoint), and a smoke run of the
 # perf-record + benchdiff pipeline.
 check:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/dd/... ./internal/cnum/... ./internal/ddsim/... ./internal/core/...
+	$(GO) test -race ./internal/dd/... ./internal/cnum/... ./internal/ddsim/... ./internal/core/... \
+		./internal/dmav/... ./internal/sched/...
 	$(MAKE) faults
 	$(MAKE) chaos
 	$(MAKE) serve-smoke

@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 const eps = 1e-9
@@ -572,6 +573,145 @@ func TestGCPreservesRoots(t *testing.T) {
 	again := m.VectorFromAmplitudes(got)
 	if again.N != keep.N {
 		t.Fatal("rebuild after GC did not hash-cons onto surviving nodes")
+	}
+}
+
+// forEachMNode calls f once for every non-terminal node reachable from e.
+func forEachMNode(e MEdge, f func(*MNode)) {
+	seen := make(map[*MNode]bool)
+	var walk func(n *MNode)
+	walk = func(n *MNode) {
+		if n.Level == TerminalLevel || seen[n] {
+			return
+		}
+		seen[n] = true
+		f(n)
+		for _, c := range n.E {
+			if !c.IsZero() {
+				walk(c.N)
+			}
+		}
+	}
+	if !e.IsZero() {
+		walk(e.N)
+	}
+}
+
+func TestIdentFlagOnGates(t *testing.T) {
+	const n = 6
+	m := New(n)
+	levels := 0
+	forEachMNode(m.Identity(n), func(nd *MNode) {
+		levels++
+		if !nd.Ident {
+			t.Errorf("Identity(%d): level %d not Ident", n, nd.Level)
+		}
+	})
+	if levels != n {
+		t.Fatalf("Identity(%d) has %d nodes, want one per level", n, levels)
+	}
+	if m.MTerminal().Ident {
+		t.Fatal("terminal node is flagged Ident")
+	}
+
+	// A node is Ident exactly when its sub-matrix is the identity. For a
+	// single-qubit gate that is every node strictly below the target. A
+	// controlled gate has those too, plus the identity blocks of the
+	// inactive branch of every control above the lowest gate qubit.
+	check := func(name string, e MEdge, lowest int, singleQubit bool) {
+		t.Helper()
+		forEachMNode(e, func(nd *MNode) {
+			l := int(nd.Level)
+			want := isDenseIdentity(m.ToDense(MEdge{1, nd}, l+1))
+			if nd.Ident != want {
+				t.Errorf("%s: level %d node Ident = %v, sub-matrix is identity: %v", name, l, nd.Ident, want)
+			}
+			if l < lowest && !nd.Ident {
+				t.Errorf("%s: level %d node below qubit %d not Ident", name, l, lowest)
+			}
+			if singleQubit && l >= lowest && nd.Ident {
+				t.Errorf("%s: level %d node at or above the target is Ident", name, l)
+			}
+		})
+	}
+	for target := 0; target < n; target++ {
+		for name, u := range map[string]Matrix2{"H": matH, "X": matX, "T": matT} {
+			check(name, m.SingleGate(n, u, target), target, true)
+		}
+	}
+	check("CX(4→1)", m.ControlledGate(n, matX, 1, []Control{{Qubit: 4}}), 1, false)
+	check("CX(2→5)", m.ControlledGate(n, matX, 5, []Control{{Qubit: 2}}), 2, false)
+	check("CS(¬3→4)", m.ControlledGate(n, matS, 4, []Control{{Qubit: 3, Negative: true}}), 3, false)
+	check("CCX(1,3→5)", m.ControlledGate(n, matX, 5, []Control{{Qubit: 1}, {Qubit: 3}}), 1, false)
+	check("CCX(5,3→0)", m.ControlledGate(n, matX, 0, []Control{{Qubit: 5}, {Qubit: 3}}), 0, false)
+}
+
+func isDenseIdentity(d [][]complex128) bool {
+	for r := range d {
+		for c := range d[r] {
+			want := complex128(0)
+			if r == c {
+				want = 1
+			}
+			if d[r][c] != want {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestIdentFlagNegativeCases(t *testing.T) {
+	m := New(2)
+	one, zero := m.MOneEdge(), m.MZeroEdge()
+	id0 := m.Identity(1)
+	x0 := m.SingleGate(1, matX, 0)
+
+	// A scaled identity normalizes to an Ident node under a scaled edge.
+	if e := m.MakeMNode(0, [4]MEdge{m.scaleM(one, 2), zero, zero, m.scaleM(one, 2)}); !e.N.Ident || e.W != 2 {
+		t.Fatalf("2·I: Ident = %v, weight %v", e.N.Ident, e.W)
+	}
+	cases := map[string]MEdge{
+		"phase":           m.MakeMNode(0, [4]MEdge{one, zero, zero, m.scaleM(one, 1i)}),
+		"projector":       m.MakeMNode(0, [4]MEdge{one, zero, zero, zero}),
+		"off-diagonal":    m.MakeMNode(0, [4]MEdge{one, m.scaleM(one, 0.5), zero, one}),
+		"different child": m.MakeMNode(1, [4]MEdge{id0, zero, zero, x0}),
+		"non-Ident child": m.MakeMNode(1, [4]MEdge{x0, zero, zero, x0}),
+		"child phase":     m.MakeMNode(1, [4]MEdge{id0, zero, zero, m.scaleM(id0, -1)}),
+		"lower off-diag":  m.MakeMNode(1, [4]MEdge{id0, zero, id0, id0}),
+	}
+	for name, e := range cases {
+		if e.N.Ident {
+			t.Errorf("%s: node flagged Ident", name)
+		}
+	}
+}
+
+func TestIdentFlagSurvivesCollect(t *testing.T) {
+	const n = 5
+	m := New(n)
+	id := m.Identity(n)
+	m.SingleGate(n, matH, 2) // garbage
+	if m.Collect(Roots{M: []MEdge{id}}) == 0 {
+		t.Fatal("GC removed nothing despite garbage")
+	}
+	again := m.Identity(n)
+	if again.N != id.N || !again.N.Ident {
+		t.Fatalf("rebuild after GC: same node %v, Ident %v", again.N == id.N, again.N.Ident)
+	}
+	// Swept and rebuilt from scratch, the new node is flagged again.
+	m.Collect(Roots{})
+	if fresh := m.Identity(n); !fresh.N.Ident {
+		t.Fatal("identity rebuilt after a full sweep is not Ident")
+	}
+}
+
+func TestMNodeSize(t *testing.T) {
+	// Level, Ident and marked share the padding word after E: 104 bytes
+	// on 64-bit platforms.
+	var nd MNode
+	if got, want := unsafe.Sizeof(nd), unsafe.Sizeof(nd.E)+unsafe.Alignof(nd); got != want {
+		t.Fatalf("MNode is %d bytes, want %d", got, want)
 	}
 }
 

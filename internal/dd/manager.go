@@ -278,12 +278,20 @@ func (m *Manager) MakeMNode(level int, e [4]MEdge) MEdge {
 	if ok {
 		m.met.mHits.Inc()
 	} else {
-		n = &MNode{E: e, Level: int8(level)}
+		n = &MNode{E: e, Level: int8(level), Ident: isIdent(e)}
 		m.mUnique[k] = n
 		m.noteInsert()
 		m.met.mMisses.Inc()
 	}
 	return MEdge{top, n}
+}
+
+// isIdent reports whether normalized children e form an identity node:
+// zero off-diagonal, unit diagonal weights, and one shared diagonal child
+// that is the terminal or an identity node itself.
+func isIdent(e [4]MEdge) bool {
+	return e[1].W == 0 && e[2].W == 0 && e[0].W == 1 && e[3].W == 1 &&
+		e[0].N == e[3].N && (e[0].N.Level == TerminalLevel || e[0].N.Ident)
 }
 
 // pythag returns sqrt(a^2+b^2) without undue overflow.

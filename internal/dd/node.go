@@ -36,6 +36,13 @@ type MNode struct {
 	E     [4]MEdge
 	Level int8
 
+	// Ident reports that the node is the 2^(Level+1) x 2^(Level+1)
+	// identity: unit-weight diagonal children sharing one child that is
+	// the terminal or itself Ident, and zero off-diagonal children. It is
+	// set once, when MakeMNode interns the node, and lets DMAV update a
+	// whole identity sub-block with one contiguous loop.
+	Ident bool
+
 	marked bool
 }
 

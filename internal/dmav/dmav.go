@@ -9,8 +9,11 @@
 //   - without caching (Algorithm 1): the amplitude range is split in row
 //     space into ~8×threads chunks sized by the MAC-count cost model, so
 //     a heavy sub-block splits finer than a sparse one; run is the
-//     recursive kernel that performs one multiply-accumulate per nonzero
-//     matrix entry, with constant-time indexing along the DD structure;
+//     recursive kernel, with constant-time indexing along the DD
+//     structure; it stops at identity sub-matrices (such as the whole
+//     block below a gate's lowest qubit) and updates each with one
+//     contiguous axpy instead of descending to one multiply-accumulate
+//     per entry;
 //   - with caching (Algorithm 2): AssignCache splits in column space
 //     into a power-of-two chunk count (the border-level split must stay
 //     aligned with the DD), chunks with non-overlapping partial outputs
@@ -136,6 +139,11 @@ type Engine struct {
 
 	threads int // any positive count, capped at 2^n
 	simd    int
+
+	// kern is the kernel every border task runs. New sets it to run;
+	// tests swap in the generic recursion to check that run is
+	// bit-identical to it.
+	kern func(edge dd.MEdge, V, W []complex128, iv, iw uint64, f complex128)
 
 	// Cached-path (Algorithm 2) column-space partition: a power-of-two
 	// chunk count so the border-level split stays aligned with the DD.
@@ -274,6 +282,7 @@ func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
 		cchunks: cchunks,
 		clogT:   uint(bits.TrailingZeros(uint(cchunks))),
 		simd:    DefaultSIMDWidth,
+		kern:    run,
 		macMemo: make(map[*dd.MNode]int64),
 	}
 	e.ch = e.dim >> e.clogT
@@ -597,7 +606,7 @@ func (e *Engine) applyUncached(M dd.MEdge, V, W []complex128, k1 int64) {
 			}
 			c := &e.rchunks[i]
 			for _, tk := range c.items {
-				run(tk.edge, V, W, tk.idx, c.ir, tk.f)
+				e.kern(tk.edge, V, W, tk.idx, c.ir, tk.f)
 			}
 			e.corruptRow(W, c.ir)
 		}
@@ -612,7 +621,7 @@ func (e *Engine) applyUncached(M dd.MEdge, V, W []complex128, k1 int64) {
 				return
 			}
 			for _, tk := range c.items {
-				run(tk.edge, V, W, tk.idx, c.ir, tk.f)
+				e.kern(tk.edge, V, W, tk.idx, c.ir, tk.f)
 			}
 			e.corruptRow(W, c.ir)
 		})
@@ -672,19 +681,46 @@ func (e *Engine) assignRows(M dd.MEdge, totalMACs int64) {
 	rec([]task{{M, 0, 1}}, e.n-1, 0)
 }
 
-// run is the recursive kernel of Algorithm 1. The weight product f excludes
-// the current edge's weight; a terminal edge performs the MAC
-// W[iw] += f·w·V[iv]. Indexing descends the DD with one shift-or per level
-// — the constant-average-cost access pattern DMAV's speed over generic
-// array simulators comes from.
+// run is the recursive kernel of Algorithms 1 and 2: it accumulates
+// f·edge.W times the sub-matrix at edge into W, reading V, with the
+// sub-matrix's row block starting at iw and its column block at iv.
+// Indexing descends the DD with one shift-or per level — the
+// constant-average-cost access pattern DMAV's speed over generic array
+// simulators comes from — but stops at the first identity node
+// (dd.MNode.Ident): its whole diagonal block is one contiguous axpy,
+// W[iw:iw+2^(l+1)] += f·edge.W·V[iv:iv+2^(l+1)]. Any other level-0 node
+// does its up to four terminal multiply-accumulates inline instead of
+// one call each. Every edge inside an identity subtree has weight 1, so
+// both leaves form the same products, in the same order, as descending
+// to the terminal would, and W is bit-identical.
 func run(edge dd.MEdge, V, W []complex128, iv, iw uint64, f complex128) {
 	n := edge.N
 	if n.Level == dd.TerminalLevel {
 		W[iw] += f * edge.W * V[iv]
 		return
 	}
-	l := uint(n.Level)
 	fw := f * edge.W
+	if n.Ident {
+		size := uint64(2) << uint(n.Level)
+		axpy(W[iw:iw+size], V[iv:iv+size], fw)
+		return
+	}
+	if n.Level == 0 {
+		if c := n.E[0]; !c.IsZero() {
+			W[iw] += fw * c.W * V[iv]
+		}
+		if c := n.E[1]; !c.IsZero() {
+			W[iw] += fw * c.W * V[iv+1]
+		}
+		if c := n.E[2]; !c.IsZero() {
+			W[iw+1] += fw * c.W * V[iv]
+		}
+		if c := n.E[3]; !c.IsZero() {
+			W[iw+1] += fw * c.W * V[iv+1]
+		}
+		return
+	}
+	l := uint(n.Level)
 	if c := n.E[0]; !c.IsZero() {
 		run(c, V, W, iv, iw, fw)
 	}
@@ -740,7 +776,7 @@ func (e *Engine) applyCached(M dd.MEdge, V, W []complex128) int64 {
 				local++
 				continue
 			}
-			run(tk.edge, V, buf, iv, tk.idx, tk.f)
+			e.kern(tk.edge, V, buf, iv, tk.idx, tk.f)
 			cache[tk.edge.N] = cacheEntry{f: fFull, start: tk.idx}
 			if e.fts.cacheCorrupt != nil {
 				if z, ok := e.fts.cacheCorrupt.Corrupt(buf[tk.idx]); ok {

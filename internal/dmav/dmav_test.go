@@ -9,6 +9,7 @@ import (
 	"flatdd/internal/circuit"
 	"flatdd/internal/dd"
 	"flatdd/internal/ddsim"
+	"flatdd/internal/fusion"
 	"flatdd/internal/statevec"
 )
 
@@ -209,6 +210,93 @@ func TestThreadsThreeCorrect(t *testing.T) {
 	}
 }
 
+// runGeneric is the kernel run replaced: it descends every nonzero entry
+// of the gate DD to the terminal and performs one multiply-accumulate
+// there. It stays as the oracle run must be bit-identical to.
+func runGeneric(edge dd.MEdge, V, W []complex128, iv, iw uint64, f complex128) {
+	n := edge.N
+	if n.Level == dd.TerminalLevel {
+		W[iw] += f * edge.W * V[iv]
+		return
+	}
+	l := uint(n.Level)
+	fw := f * edge.W
+	if c := n.E[0]; !c.IsZero() {
+		runGeneric(c, V, W, iv, iw, fw)
+	}
+	if c := n.E[1]; !c.IsZero() {
+		runGeneric(c, V, W, iv+1<<l, iw, fw)
+	}
+	if c := n.E[2]; !c.IsZero() {
+		runGeneric(c, V, W, iv, iw+1<<l, fw)
+	}
+	if c := n.E[3]; !c.IsZero() {
+		runGeneric(c, V, W, iv+1<<l, iw+1<<l, fw)
+	}
+}
+
+// TestRunBitIdenticalToGeneric checks that the identity and leaf shortcuts
+// in run change no bit of the output: an engine running run and one
+// running runGeneric must produce == amplitudes for gates on the lowest,
+// a middle and the highest qubit, controlled gates and fused gates, in
+// every caching mode and at 1-3 threads (n=12 is at the pool cutoff, so
+// threads > 1 run real batches). Their Stats must agree too: the cost
+// model does not see the kernel.
+func TestRunBitIdenticalToGeneric(t *testing.T) {
+	const n = 12
+	m := dd.New(n)
+	rng := rand.New(rand.NewSource(12))
+	gates := []circuit.Gate{
+		circuit.H(0), circuit.H(n / 2), circuit.H(n - 1),
+		circuit.T(0), circuit.U3(0.3, 1.1, -0.7, n-1), circuit.U3(-1.2, 0.4, 2.5, n/2),
+		circuit.CX(n-1, 0), circuit.CX(0, n-1), circuit.CX(3, 7),
+		circuit.CP(0.9, 5, 8), circuit.CCX(2, 9, 5), circuit.FSim(0.5, 0.2, 2, 11),
+	}
+	var Ms []dd.MEdge
+	for i := range gates {
+		Ms = append(Ms, ddsim.BuildGateDD(m, n, &gates[i]))
+	}
+	var seq []dd.MEdge
+	for i := 0; i < 16; i++ {
+		g := randomGate(rng, n)
+		seq = append(seq, ddsim.BuildGateDD(m, n, &g))
+	}
+	model := New(m, n, 2, Auto)
+	cost := func(g dd.MEdge) float64 { return model.EvaluateCost(g).Cost() }
+	Ms = append(Ms, fusion.Fuse(m, seq, cost).Gates...)
+	Ms = append(Ms, fusion.KOperations(m, seq, 3, cost).Gates...)
+	V := randAmps(rng, n)
+
+	for _, mode := range []Mode{NeverCache, AlwaysCache, Auto} {
+		for _, threads := range []int{1, 2, 3} {
+			e := New(m, n, threads, mode)
+			o := New(m, n, threads, mode)
+			o.kern = runGeneric
+			W := make([]complex128, len(V))
+			want := make([]complex128, len(V))
+			for gi, M := range Ms {
+				if _, err := e.Apply(M, V, W); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := o.Apply(M, V, want); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if W[i] != want[i] {
+						t.Fatalf("mode=%v threads=%d gate %d: W[%d] = %v, generic %v",
+							mode, threads, gi, i, W[i], want[i])
+					}
+				}
+			}
+			if es, os := e.Stats(), o.Stats(); es.CachedGates != os.CachedGates || es.MACsModeled != os.MACsModeled {
+				t.Fatalf("mode=%v threads=%d: stats %+v, generic %+v", mode, threads, es, os)
+			}
+			e.Close()
+			o.Close()
+		}
+	}
+}
+
 func TestCostModelIdentity(t *testing.T) {
 	n := 8
 	m := dd.New(n)
@@ -221,10 +309,9 @@ func TestCostModelIdentity(t *testing.T) {
 	if c.C1 != float64(c.K1)/4 {
 		t.Fatalf("C1 = %v", c.C1)
 	}
-	// Identity is block-diagonal with identical diagonal blocks: each
-	// thread sees one unique node; 3 of its 4 column tasks... actually the
-	// identity has exactly one border task per thread (off-diagonal blocks
-	// are zero), so there are no cache hits.
+	// Identity is block-diagonal: each column chunk holds exactly one
+	// border task, its diagonal block (off-diagonal blocks are zero), so
+	// no chunk repeats a node and there are no cache hits.
 	if c.Hits != 0 {
 		t.Fatalf("identity should have no repeated tasks, H=%d", c.Hits)
 	}

@@ -36,6 +36,23 @@ func addInto(dst, src []complex128) {
 	}
 }
 
+// axpy accumulates dst[i] += a * src[i]: the DMAV update of an identity
+// sub-block. dst and src must have equal length and must not overlap.
+func axpy(dst, src []complex128, a complex128) {
+	n := len(dst)
+	src = src[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		dst[i] += a * src[i]
+		dst[i+1] += a * src[i+1]
+		dst[i+2] += a * src[i+2]
+		dst[i+3] += a * src[i+3]
+	}
+	for ; i < n; i++ {
+		dst[i] += a * src[i]
+	}
+}
+
 // zero clears a vector.
 func zero(v []complex128) {
 	clear(v)
